@@ -19,35 +19,45 @@ func smallConfig() suites.Config {
 	return cfg
 }
 
+// mustByName builds a registered suite under cfg.
+func mustByName(t *testing.T, name string, cfg suites.Config) suites.Suite {
+	t.Helper()
+	s, err := suites.ByName(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestKeyIsStableAndSensitive(t *testing.T) {
 	cfg := smallConfig()
-	s := suites.Nbench(cfg)
+	s := mustByName(t, "nbench", cfg)
 	base := Key(s, cfg)
-	if base != Key(suites.Nbench(cfg), cfg) {
+	if base != Key(mustByName(t, "nbench", cfg), cfg) {
 		t.Fatal("key not deterministic for identical inputs")
 	}
 
 	seeded := cfg
 	seeded.Seed++
-	if Key(suites.Nbench(seeded), seeded) == base {
+	if Key(mustByName(t, "nbench", seeded), seeded) == base {
 		t.Fatal("seed change did not change the key")
 	}
 	sampled := cfg
 	sampled.Samples++
-	if Key(suites.Nbench(sampled), sampled) == base {
+	if Key(mustByName(t, "nbench", sampled), sampled) == base {
 		t.Fatal("sample-count change did not change the key")
 	}
 	machined := cfg
 	machined.Machine.NextLinePrefetch = !machined.Machine.NextLinePrefetch
-	if Key(suites.Nbench(machined), machined) == base {
+	if Key(mustByName(t, "nbench", machined), machined) == base {
 		t.Fatal("machine-config change did not change the key")
 	}
-	if Key(suites.LMbench(cfg), cfg) == base {
+	if Key(mustByName(t, "lmbench", cfg), cfg) == base {
 		t.Fatal("different suite did not change the key")
 	}
 	totals := cfg
 	totals.TotalsOnly = true
-	if Key(suites.Nbench(totals), totals) == base {
+	if Key(mustByName(t, "nbench", totals), totals) == base {
 		t.Fatal("totals-only change did not change the key")
 	}
 }
@@ -77,7 +87,7 @@ func TestKeyDistinguishesPatternKinds(t *testing.T) {
 
 func TestStoreRoundTrip(t *testing.T) {
 	cfg := smallConfig()
-	s := suites.Nbench(cfg)
+	s := mustByName(t, "nbench", cfg)
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +124,7 @@ func TestStoreRoundTrip(t *testing.T) {
 
 func TestCorruptEntryHealsAsMiss(t *testing.T) {
 	cfg := smallConfig()
-	s := suites.Nbench(cfg)
+	s := mustByName(t, "nbench", cfg)
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
@@ -147,7 +157,7 @@ func TestCorruptEntryHealsAsMiss(t *testing.T) {
 // away). Rename must also leave no temp files behind.
 func TestPutIsAtomicUnderConcurrentReaders(t *testing.T) {
 	cfg := smallConfig()
-	s := suites.Nbench(cfg)
+	s := mustByName(t, "nbench", cfg)
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
@@ -236,7 +246,7 @@ func TestPutIsAtomicUnderConcurrentReaders(t *testing.T) {
 func TestNilStorePassThrough(t *testing.T) {
 	var st *Store
 	cfg := smallConfig()
-	m, err := st.Measure(suites.Nbench(cfg), cfg)
+	m, err := st.Measure(mustByName(t, "nbench", cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -321,7 +321,22 @@ func TestCoordinatorAbandonCancelsDelivered(t *testing.T) {
 
 func TestFleetEndToEndThroughWorkers(t *testing.T) {
 	c, coordStore, srv := newTestCoordinator(t)
-	queue := jobs.New(jobs.RemoteRunner(c), jobs.Options{Workers: 8, MaxQueue: 256, Store: coordStore})
+	// Every coordinator job waits for release, closed once the duplicate
+	// below is submitted: the stub workers finish a job within a few
+	// loopback round trips, so without the gate the original parsec job
+	// can complete (leaving the in-flight set) before its duplicate
+	// arrives, and the dedup check races job completion.
+	release := make(chan struct{})
+	remote := jobs.RemoteRunner(c)
+	gated := func(ctx context.Context, h *jobs.Handle) (store.ScoreSet, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return store.ScoreSet{}, ctx.Err()
+		}
+		return remote(ctx, h)
+	}
+	queue := jobs.New(gated, jobs.Options{Workers: 8, MaxQueue: 256, Store: coordStore})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -354,6 +369,7 @@ func TestFleetEndToEndThroughWorkers(t *testing.T) {
 	if _, deduped, err := queue.Submit(scoreRequest("parsec")); err != nil || !deduped {
 		t.Fatalf("duplicate parsec submission: deduped=%v err=%v", deduped, err)
 	}
+	close(release)
 
 	for i, id := range ids {
 		done, err := queue.Done(id)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,6 +78,26 @@ func TestSubmitValidation(t *testing.T) {
 		if _, _, err := q.Submit(req); err == nil {
 			t.Errorf("bad request %d admitted: %+v", i, req)
 		}
+	}
+}
+
+// TestNormalizeRejectsUnrunnableConfig: admit implies run — a config
+// the simulator would refuse (more samples than instructions) fails
+// Normalize instead of becoming a job that can only fail.
+func TestNormalizeRejectsUnrunnableConfig(t *testing.T) {
+	req := Request{
+		Kind:   store.KindScore,
+		Suites: []string{"nbench"},
+		Config: store.RunConfig{Instructions: 10, Samples: 100, Seed: 7},
+	}
+	err := req.Normalize()
+	if err == nil || !strings.Contains(err.Error(), "more samples") {
+		t.Fatalf("Normalize = %v, want a more-samples rejection", err)
+	}
+	edge := req
+	edge.Config.Samples = 10
+	if err := edge.Normalize(); err != nil {
+		t.Fatalf("samples == instructions rejected: %v", err)
 	}
 }
 

@@ -124,7 +124,11 @@ func (r *Request) Normalize() error {
 		}
 		return nil
 	}
+	// Admit implies run: reject at submit any config the simulator would.
 	cfg := r.SimConfig()
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("jobs: %w", err)
+	}
 	r.suiteSpec = nil
 	if len(r.SuiteSpec) > 0 {
 		if len(r.SuiteSpec) > suites.MaxSuiteSpecBytes {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -386,12 +387,34 @@ func TestStreamGoroutineLeak(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d at start, %d after drain", base, runtime.NumGoroutine())
 }
 
+// parkedStreamLoops counts stream rescore goroutines parked in
+// cond.Wait, read from a dump of every goroutine's stack.
+func parkedStreamLoops() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "(*Stream).loop") && strings.Contains(g, "sync.(*Cond).Wait") {
+			n++
+		}
+	}
+	return n
+}
+
 // TestStreamBacklogReject fills a stream's backlog while its rescore
 // loop is parked and requires the next chunk to bounce with
 // ErrStreamBacklog — without advancing the content key.
 func TestStreamBacklogReject(t *testing.T) {
 	m := NewStreamManager(StreamOptions{MaxPending: 2})
+	parked := parkedStreamLoops()
 	snap := openStream(t, m, "s")
+	// Open returns before the new loop reaches cond.Wait; a backlog
+	// stuffed earlier would be drained by the loop's first pass.
+	for deadline := time.Now().Add(5 * time.Second); parkedStreamLoops() <= parked; {
+		if time.Now().After(deadline) {
+			t.Fatal("stream rescore loop never parked")
+		}
+		runtime.Gosched()
+	}
 	// Park the backlog at its cap without waking the loop: sync.Cond.Wait
 	// only returns on Broadcast/Signal, so the loop stays parked and the
 	// pending slice cannot drain underneath the assertion.
@@ -518,12 +541,12 @@ func TestStreamValidation(t *testing.T) {
 	}
 	snap := openStream(t, m, "a", "b")
 	badChunks := []StreamChunk{
-		{},                             // no suite on a 2-suite stream
+		{}, // no suite on a 2-suite stream
 		{Suite: "c", Workloads: []ChunkWorkload{{Name: "w"}}}, // unknown suite
-		{Suite: "a"},                   // no workloads
-		{Suite: "a", Workloads: []ChunkWorkload{{Name: ""}}},  // unnamed
-		{Suite: "a", Workloads: []ChunkWorkload{{Name: "w", Totals: []uint64{1}}}},            // wrong totals arity
-		{Suite: "a", Workloads: []ChunkWorkload{{Name: "w", Series: [][]float64{{1, 2}}}}},    // wrong series arity
+		{Suite: "a"}, // no workloads
+		{Suite: "a", Workloads: []ChunkWorkload{{Name: ""}}},                               // unnamed
+		{Suite: "a", Workloads: []ChunkWorkload{{Name: "w", Totals: []uint64{1}}}},         // wrong totals arity
+		{Suite: "a", Workloads: []ChunkWorkload{{Name: "w", Series: [][]float64{{1, 2}}}}}, // wrong series arity
 	}
 	for i, c := range badChunks {
 		as, err := m.Append(snap.ID, c)

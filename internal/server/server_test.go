@@ -308,6 +308,24 @@ func TestDrainingSubmitReturns503(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnrunnableConfig: admit implies run — a config the
+// simulator refuses (more samples than instructions) is a 400 at submit,
+// not a 202 for a job that can only fail.
+func TestSubmitRejectsUnrunnableConfig(t *testing.T) {
+	env := newEnv(t, stubRunner{}.run, jobs.Options{Workers: 1}, nil)
+	code, data := env.do(t, "POST", "/api/v1/jobs", map[string]any{
+		"kind":   "score",
+		"suites": []string{"nbench"},
+		"config": map[string]any{"instructions": 10, "samples": 100},
+	})
+	if code != http.StatusBadRequest {
+		t.Fatalf("unrunnable config = %d, want 400 (body %s)", code, data)
+	}
+	if !strings.Contains(string(data), "more samples") {
+		t.Errorf("400 body %s does not name the config error", data)
+	}
+}
+
 func TestSuitesAndHealthz(t *testing.T) {
 	env := newEnv(t, stubRunner{}.run, jobs.Options{Workers: 1}, nil)
 	code, data := env.do(t, "GET", "/api/v1/suites", nil)

@@ -3,10 +3,10 @@
 // in the internal/workload codec format. Instruction budgets and
 // per-workload seeds are *derived*, not stored — Build assigns
 // cfg.Instructions (unless a workload pins its own budget) and
-// seedFor(cfg, suite, i), exactly as the retired Go constructors did —
-// so one spec file measures identically at any -instr/-samples/-seed
-// and the six embedded stock specs compile bit-identically to their
-// constructors (pinned by the golden equivalence test).
+// seedFor(cfg, suite, i) — so one spec file measures identically at any
+// -instr/-samples/-seed. The embedded specs/*.json files are the only
+// definition of the registered suites: their bytes are pinned by SHA-256
+// and their measured scores by the hex-float score goldens.
 package suites
 
 import (
@@ -78,23 +78,6 @@ func MarshalSuiteSpec(sp *SuiteSpec) ([]byte, error) {
 		env.Workloads[i] = workloadSpecJSON{Name: w.Name, Instructions: w.Instructions, Phases: phases}
 	}
 	return json.Marshal(env)
-}
-
-// EncodeSuiteSpec writes the indented JSON document of sp — the exact
-// byte form the embedded spec files and the gen tool use, so
-// regeneration is reproducible.
-func EncodeSuiteSpec(w io.Writer, sp *SuiteSpec) error {
-	data, err := MarshalSuiteSpec(sp)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, data, "", "  "); err != nil {
-		return err
-	}
-	buf.WriteByte('\n')
-	_, err = w.Write(buf.Bytes())
-	return err
 }
 
 // DecodeSuiteSpec reads and validates one suite-spec document. Decoding
@@ -184,10 +167,9 @@ func LoadSpecFile(path string) (*SuiteSpec, error) {
 }
 
 // Build materializes the suite under cfg: every workload gets
-// cfg.Instructions (unless it pins its own budget) and the same derived
-// seed the Go constructors assigned — seedFor(cfg, suite name, index) —
-// so an embedded stock spec builds a Suite reflect.DeepEqual to its
-// pre-refactor constructor output.
+// cfg.Instructions (unless it pins its own budget) and the derived seed
+// seedFor(cfg, suite name, index), so a workload's seed depends only on
+// the run seed, the suite name, and its position in the spec.
 func (sp *SuiteSpec) Build(cfg Config) (Suite, error) {
 	s := Suite{Name: sp.Name, Description: sp.Description}
 	for i, w := range sp.Workloads {
@@ -207,20 +189,4 @@ func (sp *SuiteSpec) Build(cfg Config) (Suite, error) {
 		s.Specs = append(s.Specs, spec)
 	}
 	return s, nil
-}
-
-// SpecOf reverses Build: it renders a materialized Suite back into its
-// declarative form, dropping the derived fields (instruction budgets
-// matching cfg.Instructions and all seeds). The gen tool and the
-// embedded-spec drift test both use it to render the stock constructors.
-func SpecOf(s Suite, cfg Config) *SuiteSpec {
-	sp := &SuiteSpec{Name: s.Name, Description: s.Description}
-	for _, w := range s.Specs {
-		ws := WorkloadSpec{Name: w.Name, Phases: w.Phases}
-		if w.Instructions != cfg.Instructions {
-			ws.Instructions = w.Instructions
-		}
-		sp.Workloads = append(sp.Workloads, ws)
-	}
-	return sp
 }

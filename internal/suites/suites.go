@@ -1,5 +1,6 @@
 // Package suites models the six benchmark suites of the paper's Table III
-// as synthetic workload specs for the uarch simulator. The models encode
+// (plus further families) as synthetic workload specs for the uarch
+// simulator, declared in the embedded specs/*.json files. The models encode
 // each suite's published character rather than its code: Ligra's workloads
 // share a graph-loading framework and differ only in the compute kernel;
 // LMbench's microbenchmarks each hammer one subsystem to an extreme;
@@ -124,7 +125,10 @@ func RunContext(ctx context.Context, s Suite, cfg Config) (*perf.SuiteMeasuremen
 	// shards: Reconfigure resets it between items exactly as a pool Get
 	// would, so results are bit-identical to per-workload Get/Put while
 	// the pool lock is taken once per worker instead of once per workload.
-	machines := make([]*uarch.Machine, par.Workers())
+	// Worker ids stay below the item count, so sizing by it (not by
+	// par.Workers(), which a concurrent SetWorkers may raise before the
+	// fan-out reads it) always covers every slot.
+	machines := make([]*uarch.Machine, len(s.Specs))
 	err := par.DoErrCtx(ctx, len(s.Specs), func(ctx context.Context, worker, i int) error {
 		wctx, span := obs.Start(ctx, "workload",
 			obs.String("suite", s.Name), obs.String("workload", s.Specs[i].Name))
@@ -208,9 +212,3 @@ func RunAllContext(ctx context.Context, cfg Config) ([]*perf.SuiteMeasurement, e
 	}
 	return out, nil
 }
-
-// Sizes used across suite definitions, named for readability.
-const (
-	kib = uint64(1) << 10
-	mib = uint64(1) << 20
-)

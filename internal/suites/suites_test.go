@@ -1,9 +1,12 @@
 package suites
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"perspector/internal/par"
 	"perspector/internal/perf"
 	"perspector/internal/workload"
 )
@@ -16,18 +19,28 @@ func testConfig() Config {
 	return cfg
 }
 
+// mustByName builds a registered suite under cfg.
+func mustByName(t *testing.T, name string, cfg Config) Suite {
+	t.Helper()
+	s, err := ByName(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestSuiteSizesMatchPaper(t *testing.T) {
 	cfg := testConfig()
 	cases := []struct {
 		suite Suite
 		want  int
 	}{
-		{SPEC17(cfg), 43}, // "43 in SPEC'17" (§I)
-		{PARSEC(cfg), 13},
-		{Ligra(cfg), 20},
-		{LMbench(cfg), 26},
-		{Nbench(cfg), 10},
-		{SGXGauge(cfg), 8},
+		{mustByName(t, "spec17", cfg), 43}, // "43 in SPEC'17" (§I)
+		{mustByName(t, "parsec", cfg), 13},
+		{mustByName(t, "ligra", cfg), 20},
+		{mustByName(t, "lmbench", cfg), 26},
+		{mustByName(t, "nbench", cfg), 10},
+		{mustByName(t, "sgxgauge", cfg), 8},
 	}
 	for _, c := range cases {
 		if len(c.suite.Specs) != c.want {
@@ -97,7 +110,7 @@ func TestSeedsStableAcrossComposition(t *testing.T) {
 
 func TestRunSmallSuite(t *testing.T) {
 	cfg := testConfig()
-	s := Nbench(cfg)
+	s := mustByName(t, "nbench", cfg)
 	sm, err := Run(s, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +136,7 @@ func TestRunSmallSuite(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	cfg := testConfig()
-	s := SGXGauge(cfg)
+	s := mustByName(t, "sgxgauge", cfg)
 	a, err := Run(s, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +154,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunValidatesConfig(t *testing.T) {
 	cfg := testConfig()
-	s := Nbench(cfg)
+	s := mustByName(t, "nbench", cfg)
 	bad := cfg
 	bad.Instructions = 0
 	if _, err := Run(s, bad); err == nil {
@@ -157,17 +170,46 @@ func TestRunValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestRunContextSurvivesWorkerResize: RunContext sizes its per-worker
+// machine slots before the fan-out reads the pool width, so a
+// concurrent SetWorkers raise in between must not index past them.
+func TestRunContextSurvivesWorkerResize(t *testing.T) {
+	cfg := testConfig()
+	cfg.Instructions = 200
+	cfg.Samples = 2
+	s := mustByName(t, "nbench", cfg)
+	defer par.SetWorkers(par.SetWorkers(1))
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for n := 1; ; n = 17 - n {
+			select {
+			case <-stop:
+				return
+			default:
+				par.SetWorkers(n)
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		if _, err := RunContext(context.Background(), s, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestLigraWorkloadsAreSimilar(t *testing.T) {
 	// The defining property of the Ligra model: its workloads share a
 	// framework, so their counter vectors must be much closer to each
 	// other than SGXGauge's are — the basis of Fig. 3a's cluster scores.
 	cfg := testConfig()
 	cfg.Instructions = 60_000
-	ligra, err := Run(Ligra(cfg), cfg)
+	ligra, err := Run(mustByName(t, "ligra", cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sgx, err := Run(SGXGauge(cfg), cfg)
+	sgx, err := Run(mustByName(t, "sgxgauge", cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +274,7 @@ func TestNbenchSteadyTrends(t *testing.T) {
 	// the second half is close to the first half (no phase shift).
 	cfg := testConfig()
 	cfg.Instructions = 60_000
-	sm, err := Run(Nbench(cfg), cfg)
+	sm, err := Run(mustByName(t, "nbench", cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +311,7 @@ func TestPhaseShiftVisibleInPARSEC(t *testing.T) {
 	// shift in some counter across phase boundaries.
 	cfg := testConfig()
 	cfg.Instructions = 60_000
-	sm, err := Run(PARSEC(cfg), cfg)
+	sm, err := Run(mustByName(t, "parsec", cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +345,7 @@ func TestLMbenchExtremes(t *testing.T) {
 	// counters — the corner-covering property behind its CoverageScore.
 	cfg := testConfig()
 	cfg.Instructions = 60_000
-	sm, err := Run(LMbench(cfg), cfg)
+	sm, err := Run(mustByName(t, "lmbench", cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
