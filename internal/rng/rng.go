@@ -94,7 +94,8 @@ func (s *Source) Intn(n int) int {
 	// scheme with a precomputed threshold (see workload/pattern.go); the
 	// streams are draw-for-draw identical because the rejection condition
 	// lo < bound && lo < threshold reduces to lo < threshold (the
-	// threshold 2^64 mod bound is always below bound).
+	// threshold 2^64 mod bound is always below bound). PointerChase's
+	// Sattolo draws, whose bound changes per draw, inline it verbatim.
 	bound := uint64(n)
 	x := s.Uint64()
 	hi, lo := bits.Mul64(x, bound)
@@ -198,13 +199,20 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 type Zipf struct {
 	src *Source
 	cdf []float64
+	// guide[b] is the first rank whose CDF entry is >= b/G, for the G =
+	// len(guide)-1 equal buckets of [0,1]; G is a power of two no larger
+	// than n. A draw u in bucket b = floor(u·G) has its answer in
+	// [guide[b], guide[b+1]].
+	guide []int32
+	// shift maps the 53-bit draw to its bucket: b = draw >> shift.
+	shift uint
 }
 
 // NewZipf builds a Zipf sampler over n ranks with exponent alpha >= 0.
-// alpha = 0 degenerates to the uniform distribution.
+// alpha = 0 degenerates to the uniform distribution. n must fit an int32.
 func NewZipf(src *Source, n int, alpha float64) *Zipf {
-	if n <= 0 {
-		panic("rng: NewZipf with non-positive n")
+	if n <= 0 || n > math.MaxInt32 {
+		panic("rng: NewZipf with n out of range")
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -217,14 +225,31 @@ func NewZipf(src *Source, n int, alpha float64) *Zipf {
 		cdf[i] *= inv
 	}
 	cdf[n-1] = 1 // avoid round-off at the tail
-	return &Zipf{src: src, cdf: cdf}
+
+	logG := bits.Len(uint(n)) - 1 // G = 2^logG is the largest power of two <= n
+	g := 1 << logG
+	guide := make([]int32, g+1)
+	rank := 0
+	for b := range guide {
+		// b/G is exact in float64; cdf[n-1] = 1 ends every sweep.
+		edge := float64(b) / float64(g)
+		for cdf[rank] < edge {
+			rank++
+		}
+		guide[b] = int32(rank)
+	}
+	return &Zipf{src: src, cdf: cdf, guide: guide, shift: uint(53 - logG)}
 }
 
-// Next returns the next Zipf-distributed rank in [0, n).
+// Next returns the next Zipf-distributed rank in [0, n): the first rank
+// whose CDF entry is >= u, for Float64's draw u = m/2^53. The CDF does
+// not decrease, so that rank lies in the guide window of u's bucket, and
+// searching the window returns what a search of the whole table would.
 func (z *Zipf) Next() int {
-	u := z.src.Float64()
-	// Binary search for the first CDF entry >= u.
-	lo, hi := 0, len(z.cdf)-1
+	m := z.src.Uint64() >> 11
+	u := float64(m) / (1 << 53)
+	b := m >> z.shift
+	lo, hi := int(z.guide[b]), int(z.guide[b+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {

@@ -307,10 +307,61 @@ func BenchmarkUint64(b *testing.B) {
 	}
 }
 
+// zipfSearchRef is the full-table binary search Next used before the
+// guide table: the oracle the windowed search must match draw for draw.
+func zipfSearchRef(cdf []float64, src *Source) int {
+	u := src.Float64()
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+func TestZipfGuideMatchesFullSearch(t *testing.T) {
+	const draws = 100000
+	for _, n := range []int{1, 2, 3, 1000, 1024, 1025, 65536} {
+		for _, alpha := range []float64{0, 0.5, 0.9, 1, 1.3, 64} {
+			seed := uint64(n)*1000 + uint64(alpha*10)
+			z := NewZipf(New(seed), n, alpha)
+			if g := len(z.guide) - 1; g&(g-1) != 0 || g > n {
+				t.Fatalf("n=%d: guide has %d buckets, want a power of two <= n", n, g)
+			}
+			ref := New(seed)
+			for i := 0; i < draws; i++ {
+				if got, want := z.Next(), zipfSearchRef(z.cdf, ref); got != want {
+					t.Fatalf("n=%d alpha=%v draw %d: rank %d, full search %d", n, alpha, i, got, want)
+				}
+			}
+			if z.src.Uint64() != ref.Uint64() {
+				t.Fatalf("n=%d alpha=%v: streams diverged after %d draws", n, alpha, draws)
+			}
+		}
+	}
+}
+
 func BenchmarkZipfNext(b *testing.B) {
-	z := NewZipf(New(1), 1<<16, 1.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		z.Next()
+	for _, c := range []struct {
+		name  string
+		n     int
+		alpha float64
+	}{
+		{"pages_64k_a1.1", 1 << 16, 1.1},
+		// A stock-suite size, from the SPEC'17 model; the stock six
+		// draw from 512–65,536 pages at alpha 0.5–1.1.
+		{"pages_24k_a0.7", 24576, 0.7},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			z := NewZipf(New(1), c.n, c.alpha)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				z.Next()
+			}
+		})
 	}
 }

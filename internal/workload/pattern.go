@@ -231,6 +231,12 @@ func (z Zipf) Instantiate(base uint64, src *rng.Source) (AddrGen, error) {
 	if pages == 0 {
 		return nil, fmt.Errorf("workload: Zipf working set %d below one page", z.WorkingSet)
 	}
+	// 64 GiB of pages, the same 2^24-entry cap as PointerChase's table:
+	// the sampler's tables take 12 bytes per page.
+	const maxPages = 1 << 24
+	if pages > maxPages {
+		return nil, fmt.Errorf("workload: Zipf working set %d exceeds %d pages (64 GiB)", z.WorkingSet, maxPages)
+	}
 	if z.Alpha < 0 {
 		return nil, fmt.Errorf("workload: Zipf alpha %v negative", z.Alpha)
 	}
@@ -292,12 +298,38 @@ func (p PointerChase) Instantiate(base uint64, src *rng.Source) (AddrGen, error)
 	for i := range next {
 		next[i] = uint32(i)
 	}
-	for i := int(lines) - 1; i > 0; i-- {
-		j := src.Intn(i)
-		next[i], next[j] = next[j], next[i]
+	// Swap i draws j = Intn(i). The draws do not depend on the table, so
+	// each block of them is made first and its swaps done after: the RNG
+	// dependency chain then runs without waiting on the swaps' cache and
+	// TLB misses. Each draw hand-inlines rng.Intn's Lemire step (threshold
+	// computed only on its rare path, exactly as Intn does), so the table
+	// is the one successive Intn calls would build.
+	var js [chaseBlock]uint32
+	for top := lines - 1; top > 0; {
+		n := min(top, chaseBlock)
+		for k := range js[:n] {
+			bound := top - uint64(k)
+			hi, lo := bits.Mul64(src.Uint64(), bound)
+			if lo < bound {
+				thr := -bound % bound
+				for lo < thr {
+					hi, lo = bits.Mul64(src.Uint64(), bound)
+				}
+			}
+			js[k] = uint32(hi)
+		}
+		for k, j := range js[:n] {
+			i := top - uint64(k)
+			next[i], next[j] = next[j], next[i]
+		}
+		top -= n
 	}
 	return &chaseGen{base: base, next: next}, nil
 }
+
+// chaseBlock is how many Sattolo draws PointerChase makes ahead of their
+// swaps.
+const chaseBlock = 1024
 
 type chaseGen struct {
 	base uint64

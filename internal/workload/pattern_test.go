@@ -1,6 +1,10 @@
 package workload
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"perspector/internal/rng"
@@ -137,6 +141,97 @@ func TestPointerChaseFullCycle(t *testing.T) {
 	first := g.Next()
 	if !seen[first] {
 		t.Fatal("second cycle visits new address")
+	}
+}
+
+// sattoloRef is the one-draw-per-swap Sattolo loop PointerChase ran
+// before it drew in blocks: the oracle the block-drawn table must match.
+func sattoloRef(lines int, src *rng.Source) []uint32 {
+	next := make([]uint32, lines)
+	for i := range next {
+		next[i] = uint32(i)
+	}
+	for i := lines - 1; i > 0; i-- {
+		j := src.Intn(i)
+		next[i], next[j] = next[j], next[i]
+	}
+	return next
+}
+
+func TestPointerChaseMatchesSattoloRef(t *testing.T) {
+	for _, lines := range []int{1, 2, 3, 1023, 1024, 1025, 4097, 1 << 20} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			src, refSrc := rng.New(seed), rng.New(seed)
+			g, err := PointerChase{WorkingSet: uint64(lines) * 64}.Instantiate(0, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := g.(*chaseGen).next, sattoloRef(lines, refSrc)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("lines=%d seed=%d: next[%d] = %d, reference %d", lines, seed, i, got[i], want[i])
+				}
+			}
+			if src.Uint64() != refSrc.Uint64() {
+				t.Fatalf("lines=%d seed=%d: draw streams diverged", lines, seed)
+			}
+		}
+	}
+}
+
+func TestPointerChaseConcurrentInstantiate(t *testing.T) {
+	// Suites build generators from several workers at once; each build
+	// must use only its own scratch.
+	const lines = 1<<14 + 7
+	want := sattoloRef(lines, rng.New(9))
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			g, err := PointerChase{WorkingSet: lines * 64}.Instantiate(0, rng.New(9))
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			for i, v := range g.(*chaseGen).next {
+				if v != want[i] {
+					errs[w] = fmt.Errorf("worker %d: next[%d] = %d, reference %d", w, i, v, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestZipfPageBound(t *testing.T) {
+	const maxWS = 1 << 36 // 2^24 pages
+	if _, err := (Zipf{WorkingSet: maxWS + 4096, Alpha: 1}).Instantiate(0, rng.New(1)); err == nil {
+		t.Fatal("Zipf over 2^24 pages accepted")
+	} else if want := fmt.Sprint(1 << 24); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the %s-page bound", err, want)
+	}
+	// A 1 TiB working set (the codec's bound) must fail at Compile
+	// before any table is allocated.
+	spec := Spec{Name: "big", Instructions: 100, Phases: []Phase{{
+		Weight: 1, LoadFrac: 0.5, LoadPattern: Zipf{WorkingSet: 1 << 40, Alpha: 0.9},
+	}}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Compile(spec)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("1 TiB Zipf spec compiled")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejected Zipf spec allocated %d bytes", alloc)
 	}
 }
 
@@ -291,5 +386,26 @@ func TestFootprints(t *testing.T) {
 		if got := c.spec.Footprint(); got != c.want {
 			t.Fatalf("%T footprint = %d, want %d", c.spec, got, c.want)
 		}
+	}
+}
+
+func BenchmarkPointerChaseInstantiate(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		lines uint64
+	}{
+		{"lines_1M", 1 << 20},
+		// SPEC'17's largest chase pattern: a 512 MiB working set.
+		{"lines_8M", 1 << 23},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			spec := PointerChase{WorkingSet: c.lines * 64}
+			b.SetBytes(int64(c.lines) * 4) // table bytes built per op
+			for i := 0; i < b.N; i++ {
+				if _, err := spec.Instantiate(0, rng.New(uint64(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

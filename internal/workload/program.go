@@ -223,11 +223,20 @@ func Compile(spec Spec) (*Program, error) {
 			if !sharedRegion {
 				storeBase = base + loadSpec.Footprint() + guard
 			}
-			storeGen, err := storeSpec.Instantiate(storeBase, src.Split())
-			if err != nil {
-				return nil, fmt.Errorf("workload: spec %q phase %d store pattern: %w", spec.Name, i, err)
+			// The store stream is split off even when its generator is
+			// skipped, so every later draw of the phase stays the same.
+			storeSrc := src.Split()
+			// A shared region means the store spec is the one the load
+			// generator was just built from, so it is already validated;
+			// with no stores as well, its generator would never be walked
+			// (uStore == uLoad, so emit cannot reach the store case).
+			if ph.StoreFrac != 0 || !sharedRegion {
+				storeGen, err := storeSpec.Instantiate(storeBase, storeSrc)
+				if err != nil {
+					return nil, fmt.Errorf("workload: spec %q phase %d store pattern: %w", spec.Name, i, err)
+				}
+				cp.storeGen = newAddrStream(storeGen)
 			}
-			cp.storeGen = newAddrStream(storeGen)
 			base = storeBase + storeSpec.Footprint() + guard
 		}
 

@@ -240,6 +240,39 @@ func TestStorePatternDefaultsToLoadPattern(t *testing.T) {
 	}
 }
 
+func TestStoreGeneratorSkippedOnlyWhenNeverWalked(t *testing.T) {
+	chase := PointerChase{WorkingSet: 1 << 16}
+	phase := func(storeFrac float64, store PatternSpec) Spec {
+		return Spec{Name: "st", Instructions: 1000, Seed: 5, Phases: []Phase{{
+			Weight: 1, LoadFrac: 0.3, StoreFrac: storeFrac,
+			LoadPattern: chase, StorePattern: store,
+		}}}
+	}
+	for _, c := range []struct {
+		name      string
+		spec      Spec
+		wantStore bool
+	}{
+		{"no stores, defaulted pattern", phase(0, nil), false},
+		{"no stores, equal pattern", phase(0, chase), false},
+		{"stores, defaulted pattern", phase(0.1, nil), true},
+		{"no stores, distinct pattern", phase(0, Sequential{WorkingSet: 4096}), true},
+	} {
+		prog, err := Compile(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if built := prog.phases[0].storeGen.gen != nil; built != c.wantStore {
+			t.Fatalf("%s: store generator built = %v, want %v", c.name, built, c.wantStore)
+		}
+	}
+	// A distinct store pattern is still instantiated, and so still
+	// validated, when the phase has no stores.
+	if _, err := Compile(phase(0, PointerChase{WorkingSet: 32})); err == nil {
+		t.Fatal("invalid store pattern accepted with StoreFrac == 0")
+	}
+}
+
 func TestSyscallFaults(t *testing.T) {
 	spec := Spec{
 		Name: "sys", Instructions: 10000, Seed: 9,
