@@ -1,43 +1,24 @@
-// Command benchjson runs the simulator benchmark set under the testing
-// package's benchmark driver and writes the results as machine-readable
-// JSON. The committed BENCH_simulator.json at the repository root is the
-// instructions/sec trajectory of the hot-loop work: regenerate it on the
-// same class of machine with
+// Command benchjson runs the benchmark registry (internal/benchreg)
+// under the testing package's benchmark driver and records the results
+// as machine-readable JSON. Each run appends one line to
+// BENCH_history.jsonl (disable with -history ""): every case's ns/op,
+// plus simulated instr/sec for the cases that report instructions per
+// op, with the git commit, Go version and platform. The log is the
+// repository's instr/sec trajectory across commits:
 //
-//	go run ./cmd/benchjson -out BENCH_simulator.json
+//	go run ./cmd/benchjson -note "my change"
 //
-// and compare simulated_instr_per_sec across commits. The benchmark
-// bodies mirror BenchmarkSimulateSuite / BenchmarkSimulateWorkload
-// (suite and per-workload level) and the BenchmarkCacheAccess /
-// BenchmarkTLBTranslate / BenchmarkMachineStep microbenchmarks
-// (component level), so a regression can be localized to the layer that
-// caused it; SimulateSuiteTotalsOnly measures the counters-only fast
-// path against the full sampled run, and StreamIngest measures the
-// streaming instruction-log reader (parsed records per second).
-// FullRescore and IncrRescore are the incremental-scoring A/B pair: the
-// cost of batch-scoring a 64-workload measurement from scratch versus
-// appending one sample chunk to it and rescoring through the
-// incremental engine (the perspectord streaming-score hot path).
+// -out additionally writes the run's record as indented JSON.
 //
-// Each run also appends one line to BENCH_history.jsonl (disable with
-// -history ""): the same report plus the git commit, so the repository
-// accumulates an instr/sec trajectory across commits instead of only
-// the latest snapshot.
-//
-// With -check <snapshot>, the run compares its own suite-level
-// simulated_instr_per_sec against the snapshot's and exits non-zero on a
-// regression beyond -check-tolerance. The suite benchmark keeps the best
-// of -check-rounds runs: scheduling noise on shared runners only ever
-// slows a run down, so the fastest observation is the least contaminated
-// one.
-//
-// With -check-history <jsonl>, the run is additionally gated against the
-// accumulated history distribution: each instr/sec-bearing benchmark
-// must not fall below a low percentile (default p10, with slack) of the
-// last K runs recorded on the same machine class (goos/goarch). Unlike
-// the fixed-tolerance snapshot check, this floor tracks what the machine
-// class actually sustains, and it refuses to judge (inconclusive pass)
-// when the history holds too few same-class runs.
+// With -check-history <jsonl>, the run is gated against the accumulated
+// history distribution: each instr/sec-bearing case must not fall below
+// the p10 floor (less 5% slack) of the last 10 runs recorded on the same
+// machine class (goos/goarch). The floor tracks what the machine class
+// actually sustains, and the gate refuses to judge (inconclusive pass)
+// when the history holds fewer than 3 same-class runs. A gated run keeps
+// the best of three rounds of every case: scheduling noise on shared
+// runners only ever slows a run down, so the fastest observation is the
+// least contaminated one.
 //
 // The compare subcommand is the paired same-moment A/B primitive the CI
 // regression gate runs:
@@ -57,29 +38,25 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"context"
-
-	perspector "perspector"
+	"perspector/internal/benchreg"
 	"perspector/internal/buildinfo"
-	"perspector/internal/metric"
-	"perspector/internal/perf"
 	"perspector/internal/perfhist"
-	"perspector/internal/rng"
-	"perspector/internal/trace"
-	"perspector/internal/uarch"
 )
+
+// gateRounds is how many rounds of every case a gated run keeps the
+// best of.
+const gateRounds = 3
 
 // The report schema is owned by internal/perfhist — Record is one run,
 // Benchmark one measurement — so this producer, the perspectord history
@@ -107,41 +84,12 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// benchSpec is one registered benchmark: the record mode runs all of
-// them, the compare subcommand picks sides by name.
-type benchSpec struct {
-	name       string
-	instrPerOp func() uint64
-	body       func(b *testing.B)
-}
-
-var benchRegistry = []benchSpec{
-	{"SimulateSuite", suiteInstr, benchSimulateSuite},
-	{"SimulateSuiteTotalsOnly", suiteInstr, benchSimulateSuiteTotalsOnly},
-	{"SimulateWorkload", workloadInstr, benchSimulateWorkload},
-	{"StreamIngest", streamInstr, benchStreamIngest},
-	{"FullRescore", nil, benchFullRescore},
-	{"IncrRescore", nil, benchIncrRescore},
-	{"MachineStep", func() uint64 { return 1 }, benchMachineStep},
-	{"CacheAccess", nil, benchCacheAccess},
-	{"TLBTranslate", nil, benchTLBTranslate},
-}
-
-func lookupBench(name string) (benchSpec, bool) {
-	for _, b := range benchRegistry {
-		if b.name == name {
-			return b, true
-		}
+func lookupCase(name string) benchreg.Case {
+	c, ok := benchreg.Lookup(name)
+	if !ok {
+		fatal(fmt.Errorf("unknown benchmark %q (have %s)", name, strings.Join(benchreg.Names(), ", ")))
 	}
-	return benchSpec{}, false
-}
-
-func benchNames() string {
-	names := make([]string, len(benchRegistry))
-	for i, b := range benchRegistry {
-		names[i] = b.name
-	}
-	return strings.Join(names, ", ")
+	return c
 }
 
 func main() {
@@ -153,30 +101,28 @@ func main() {
 	runRecord(os.Args[1:])
 }
 
-// runRecord is the default mode: run every registered benchmark, write
-// the snapshot, append to the history, and apply the requested gates.
+// setBenchtime sets the driver's package-level benchtime: there is no
+// public per-run knob, so set it the way `go test -benchtime` would.
+func setBenchtime(d time.Duration) {
+	if err := flag.Set("test.benchtime", d.String()); err != nil {
+		fatal(err)
+	}
+}
+
+// runRecord is the default mode: run every registered case, append the
+// run to the history, and apply the history gate when asked.
 func runRecord(args []string) {
 	fs := flag.NewFlagSet("benchjson", flag.ExitOnError)
-	out := fs.String("out", "BENCH_simulator.json", "output path for the latest snapshot")
+	out := fs.String("out", "", "also write the run's record as indented JSON here")
 	history := fs.String("history", "BENCH_history.jsonl", "append the run to this JSONL history (empty disables)")
 	benchtime := fs.Duration("benchtime", time.Second, "minimum run time per benchmark")
 	note := fs.String("note", "", "free-form origin tag recorded with the run (e.g. ci)")
-	check := fs.String("check", "", "compare suite-level instr/sec against this committed snapshot and fail on regression")
-	checkTolerance := fs.Float64("check-tolerance", 0.10, "relative regression allowed by -check")
-	checkRounds := fs.Int("check-rounds", 3, "suite benchmark repetitions; the best round is kept")
 	checkHistory := fs.String("check-history", "", "gate instr/sec-bearing benchmarks against this history's distribution")
-	gateLastK := fs.Int("gate-last-k", 10, "reference window for -check-history: last K same-class runs")
-	gatePercentile := fs.Float64("gate-percentile", 10, "low percentile of the reference window a run must not fall below")
-	gateMinRuns := fs.Int("gate-min-runs", 3, "same-class runs required before -check-history will judge")
 	fs.Parse(args)
-	// The driver reads the package-level benchtime; there is no public
-	// per-run knob, so set it the way `go test -benchtime` would.
-	if err := flag.Set("test.benchtime", benchtime.String()); err != nil {
-		fatal(err)
-	}
+	setBenchtime(*benchtime)
 	rounds := 1
-	if (*check != "" || *checkHistory != "") && *checkRounds > 1 {
-		rounds = *checkRounds
+	if *checkHistory != "" {
+		rounds = gateRounds
 	}
 
 	rep := report{
@@ -188,30 +134,25 @@ func runRecord(args []string) {
 		Rounds:      rounds,
 		Note:        *note,
 	}
-	for _, bench := range benchRegistry {
-		benchRounds := 1
-		if bench.name == "SimulateSuite" {
-			benchRounds = rounds
-		}
+	for _, c := range benchreg.Cases {
 		var r testing.BenchmarkResult
-		for round := 0; round < benchRounds; round++ {
-			got := testing.Benchmark(bench.body)
+		for round := 0; round < rounds; round++ {
+			got := testing.Benchmark(c.Run)
 			if got.N == 0 {
-				fmt.Fprintf(os.Stderr, "benchjson: %s did not run (benchmark failed?)\n", bench.name)
-				os.Exit(1)
+				fatal(fmt.Errorf("%s did not run (benchmark failed?)", c.Name))
 			}
 			if round == 0 || nsPerOp(got) < nsPerOp(r) {
 				r = got
 			}
 		}
 		res := result{
-			Name:       bench.name,
+			Name:       c.Name,
 			NsPerOp:    nsPerOp(r),
 			Iterations: r.N,
 		}
-		if bench.instrPerOp != nil {
-			res.SimulatedInstrPerOp = bench.instrPerOp()
-			res.SimulatedInstrPerSec = float64(res.SimulatedInstrPerOp) / (res.NsPerOp / 1e9)
+		if instr := r.Extra[benchreg.InstrMetric]; instr > 0 {
+			res.SimulatedInstrPerOp = uint64(instr)
+			res.SimulatedInstrPerSec = instr / (res.NsPerOp / 1e9)
 		}
 		rep.Benchmarks = append(rep.Benchmarks, res)
 		fmt.Printf("%-24s %12.1f ns/op", res.Name, res.NsPerOp)
@@ -221,23 +162,20 @@ func runRecord(args []string) {
 		fmt.Println()
 	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fatal(err)
+	if *out != "" {
+		buf, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			fatal(err)
+		}
+		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
+			fatal(err)
+		}
 	}
 	// Gate against the history distribution as it stood BEFORE this run
 	// is appended, so a run is never its own reference.
 	var gateErr error
 	if *checkHistory != "" {
-		gateErr = checkAgainstHistory(*checkHistory, rep, perfhist.GateOptions{
-			LastK:      *gateLastK,
-			Percentile: *gatePercentile,
-			MinRuns:    *gateMinRuns,
-		})
+		gateErr = checkAgainstHistory(*checkHistory, rep)
 	}
 	if *history != "" {
 		if err := appendHistory(*history, rep); err != nil {
@@ -247,11 +185,6 @@ func runRecord(args []string) {
 	if gateErr != nil {
 		fatal(gateErr)
 	}
-	if *check != "" {
-		if err := checkRegression(*check, rep, *checkTolerance); err != nil {
-			fatal(err)
-		}
-	}
 }
 
 // runCompare is the paired same-moment A/B gate: measure A and B
@@ -259,40 +192,29 @@ func runRecord(args []string) {
 // exit non-zero on a significant regression.
 func runCompare(args []string) {
 	fs := flag.NewFlagSet("benchjson compare", flag.ExitOnError)
-	aName := fs.String("a", "SimulateSuite", "baseline benchmark ("+benchNames()+")")
+	aName := fs.String("a", "SimulateSuite", "baseline benchmark ("+strings.Join(benchreg.Names(), ", ")+")")
 	bName := fs.String("b", "", "candidate benchmark (default: same as -a, a no-change self-comparison)")
 	rounds := fs.Int("rounds", 5, "interleaved (A,B) round pairs")
 	benchtime := fs.Duration("benchtime", time.Second, "minimum run time per benchmark round")
 	out := fs.String("out", "", "write the machine-readable verdict JSON here (the CI job artifact)")
 	inject := fs.Float64("inject-slowdown", 1, "multiply B's observed ns/op — synthetic-regression self-test knob")
-	minEffect := fs.Float64("min-effect", 0.02, "relative change too small to flag even above the noise band")
-	noiseMult := fs.Float64("noise-mult", 2, "noise multiplier in the significance band")
 	fs.Parse(args)
-	if err := flag.Set("test.benchtime", benchtime.String()); err != nil {
-		fatal(err)
-	}
+	setBenchtime(*benchtime)
 	if *bName == "" {
 		*bName = *aName
 	}
-	a, ok := lookupBench(*aName)
-	if !ok {
-		fatal(fmt.Errorf("unknown benchmark %q (have %s)", *aName, benchNames()))
-	}
-	bb, ok := lookupBench(*bName)
-	if !ok {
-		fatal(fmt.Errorf("unknown benchmark %q (have %s)", *bName, benchNames()))
-	}
+	a, bb := lookupCase(*aName), lookupCase(*bName)
 	if *rounds < 1 {
 		fatal(fmt.Errorf("compare needs at least one round"))
 	}
-	label := a.name
-	if bb.name != a.name {
-		label = a.name + " vs " + bb.name
+	label := a.Name
+	if bb.Name != a.Name {
+		label = a.Name + " vs " + bb.Name
 	}
 	var aNs, bNs []float64
 	for round := 0; round < *rounds; round++ {
-		ra := testing.Benchmark(a.body)
-		rb := testing.Benchmark(bb.body)
+		ra := testing.Benchmark(a.Run)
+		rb := testing.Benchmark(bb.Run)
 		if ra.N == 0 || rb.N == 0 {
 			fatal(fmt.Errorf("round %d did not run (benchmark failed?)", round))
 		}
@@ -301,10 +223,7 @@ func runCompare(args []string) {
 		fmt.Printf("round %d/%d: A %.3g ns/op, B %.3g ns/op\n",
 			round+1, *rounds, aNs[round], bNs[round])
 	}
-	v, err := perfhist.Compare(context.Background(), label, aNs, bNs, perfhist.CompareOptions{
-		MinEffect: *minEffect,
-		NoiseMult: *noiseMult,
-	})
+	v, err := perfhist.Compare(context.Background(), label, aNs, bNs, perfhist.CompareOptions{})
 	if err != nil {
 		fatal(err)
 	}
@@ -325,8 +244,8 @@ func runCompare(args []string) {
 
 // checkAgainstHistory gates every instr/sec-bearing benchmark of the
 // run against the history distribution: fail when one lands below the
-// configured percentile of the last K same-machine-class runs.
-func checkAgainstHistory(path string, rep report, opt perfhist.GateOptions) error {
+// p10 floor of the last 10 same-machine-class runs.
+func checkAgainstHistory(path string, rep report) error {
 	ctx := context.Background()
 	h, err := perfhist.Load(ctx, path)
 	if err != nil {
@@ -338,7 +257,7 @@ func checkAgainstHistory(path string, rep report, opt perfhist.GateOptions) erro
 		if b.SimulatedInstrPerSec <= 0 {
 			continue
 		}
-		res := h.Gate(ctx, b.Name, class, b.SimulatedInstrPerSec, opt)
+		res := h.Gate(ctx, b.Name, class, b.SimulatedInstrPerSec, perfhist.GateOptions{})
 		switch {
 		case res.Inconclusive:
 			fmt.Printf("check-history: %-24s inconclusive: %s\n", b.Name, res.Reason)
@@ -374,318 +293,4 @@ func appendHistory(path string, rep report) error {
 		werr = cerr
 	}
 	return werr
-}
-
-// suiteLevel extracts the SimulateSuite throughput of a report.
-func suiteLevel(rep report) (float64, error) {
-	for _, r := range rep.Benchmarks {
-		if r.Name == "SimulateSuite" {
-			return r.SimulatedInstrPerSec, nil
-		}
-	}
-	return 0, fmt.Errorf("no SimulateSuite entry")
-}
-
-// checkRegression compares the run's suite-level throughput against the
-// committed snapshot at path.
-func checkRegression(path string, rep report, tolerance float64) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var committed report
-	if err := json.Unmarshal(buf, &committed); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	want, err := suiteLevel(committed)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	got, err := suiteLevel(rep)
-	if err != nil {
-		return err
-	}
-	floor := want * (1 - tolerance)
-	if got < floor {
-		return fmt.Errorf("suite-level regression: %.3g simulated instr/sec < %.3g (committed %.3g − %.0f%%)",
-			got, floor, want, 100*tolerance)
-	}
-	fmt.Printf("check: %.3g simulated instr/sec ≥ %.3g (committed %.3g − %.0f%%)\n",
-		got, floor, want, 100*tolerance)
-	return nil
-}
-
-// benchSimulateSuite mirrors BenchmarkSimulateSuite: the Nbench suite end
-// to end at the paper's full configuration.
-func benchSimulateSuite(b *testing.B) {
-	runSuite(b, perspector.DefaultConfig())
-}
-
-// benchSimulateSuiteTotalsOnly is the same suite through the
-// counters-only fast path: no sampled series, totals bit-identical.
-func benchSimulateSuiteTotalsOnly(b *testing.B) {
-	cfg := perspector.DefaultConfig()
-	cfg.TotalsOnly = true
-	runSuite(b, cfg)
-}
-
-func runSuite(b *testing.B, cfg perspector.Config) {
-	s, err := perspector.SuiteByName("nbench", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := perspector.Measure(s, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchSimulateWorkload measures one workload — the first Nbench kernel —
-// so per-core throughput is separable from the sharded suite number.
-func benchSimulateWorkload(b *testing.B) {
-	cfg := perspector.DefaultConfig()
-	s, err := perspector.SuiteByName("nbench", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Specs = s.Specs[:1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := perspector.Measure(s, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// streamBlock renders ~1 MiB of instruction-log text cycling through
-// all five record kinds, and reports how many records it holds. The
-// block is what one StreamIngest op parses.
-func streamBlock() ([]byte, int) {
-	var buf []byte
-	records := 0
-	for i := uint64(0); len(buf) < 1<<20; i++ {
-		buf = append(buf, 'A', '\n')
-		buf = append(buf, 'L', ',')
-		buf = strconv.AppendUint(buf, i*64%(1<<22), 10)
-		buf = append(buf, '\n', 'S', ',')
-		buf = strconv.AppendUint(buf, i*128%(1<<24), 10)
-		buf = append(buf, '\n', 'B', ',')
-		buf = strconv.AppendUint(buf, 0x400000+i%64*4, 10)
-		buf = append(buf, ',', '0'+byte(i&1), '\n')
-		buf = append(buf, 'Y', ',', '0', '\n')
-		records += 5
-	}
-	return buf, records
-}
-
-// repeatReader serves block reps times — a multi-GB log without the
-// multi-GB buffer, mirroring the bounded-memory test in internal/trace.
-type repeatReader struct {
-	block []byte
-	off   int
-	reps  int
-}
-
-func (r *repeatReader) Read(p []byte) (int, error) {
-	if r.reps == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.block[r.off:])
-	r.off += n
-	if r.off == len(r.block) {
-		r.off = 0
-		r.reps--
-	}
-	return n, nil
-}
-
-// benchStreamIngest measures the streaming trace reader: one op parses
-// one streamBlock through ProgramReader.NextBatch. The instr/sec figure
-// is parsed log records per second — the ingest ceiling for replaying
-// instruction logs through the simulator.
-func benchStreamIngest(b *testing.B) {
-	block, perBlock := streamBlock()
-	pr := trace.NewProgramReader(&repeatReader{block: block, reps: b.N}, "bench")
-	batch := make([]uarch.Instr, 4096)
-	b.SetBytes(int64(len(block)))
-	b.ResetTimer()
-	total := 0
-	for {
-		n := pr.NextBatch(batch)
-		total += n
-		if n < len(batch) {
-			break
-		}
-	}
-	if err := pr.Err(); err != nil {
-		b.Fatal(err)
-	}
-	if total != perBlock*b.N {
-		b.Fatalf("parsed %d records, want %d", total, perBlock*b.N)
-	}
-}
-
-// rescoreMeasurement fabricates the fixed 64-workload measurement the
-// FullRescore/IncrRescore pair scores — the same shape bench_test.go's
-// benchStreamMeasurement builds, kept in lockstep so the committed
-// numbers stay comparable with `go test -bench`.
-func rescoreMeasurement() *perf.SuiteMeasurement {
-	src := rng.New(2023)
-	sm := &perf.SuiteMeasurement{Suite: "streambench"}
-	for i := 0; i < 64; i++ {
-		m := perf.Measurement{Workload: fmt.Sprintf("w%02d", i)}
-		m.Series.Interval = 1000
-		for c := 0; c < int(perf.NumCounters); c++ {
-			m.Totals[perf.Counter(c)] = uint64(src.Intn(50000))
-			for s := 0; s < 64; s++ {
-				m.Series.Samples[perf.Counter(c)] = append(
-					m.Series.Samples[perf.Counter(c)], float64(src.Intn(2000)))
-			}
-		}
-		sm.Workloads = append(sm.Workloads, m)
-	}
-	return sm
-}
-
-// benchFullRescore scores the fixed measurement from scratch every op —
-// what a streaming client would pay per chunk without the incremental
-// engine.
-func benchFullRescore(b *testing.B) {
-	sm := rescoreMeasurement()
-	opts := metric.DefaultOptions()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := metric.ScoreSuites(ctx, []*perf.SuiteMeasurement{sm}, opts, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchIncrRescore measures the streaming steady state: the run already
-// holds the measurement, one op appends a sample chunk (two series
-// samples per counter) to one workload and rescores incrementally.
-func benchIncrRescore(b *testing.B) {
-	run, err := metric.NewIncrementalRun(
-		[]*perf.SuiteMeasurement{rescoreMeasurement()}, metric.DefaultOptions(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := run.Scores(ctx); err != nil {
-		b.Fatal(err)
-	}
-	names := make([]string, len(run.Measurement(0).Workloads))
-	for i := range names {
-		names[i] = run.Measurement(0).Workloads[i].Workload
-	}
-	src := rng.New(7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tail := &perf.TimeSeries{Interval: 1000}
-		for c := 0; c < int(perf.NumCounters); c++ {
-			tail.Samples[perf.Counter(c)] = []float64{
-				float64(src.Intn(2000)), float64(src.Intn(2000))}
-		}
-		if err := run.AppendSamples(0, names[i%len(names)], perf.Values{}, tail); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := run.Scores(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func streamInstr() uint64 {
-	_, perBlock := streamBlock()
-	return uint64(perBlock)
-}
-
-func suiteInstr() uint64 {
-	cfg := perspector.DefaultConfig()
-	s, err := perspector.SuiteByName("nbench", cfg)
-	if err != nil {
-		return 0
-	}
-	return cfg.Instructions * uint64(len(s.Specs))
-}
-
-func workloadInstr() uint64 {
-	return perspector.DefaultConfig().Instructions
-}
-
-// strideProg mirrors the deterministic generator of the in-tree
-// BenchmarkMachineStep: a fixed kind mix whose own cost is a few ALU ops,
-// so the measurement isolates the machine's per-instruction step.
-type strideProg struct {
-	n, limit uint64
-}
-
-func (p *strideProg) Name() string { return "stride" }
-
-func (p *strideProg) Next(in *uarch.Instr) bool {
-	if p.n >= p.limit {
-		return false
-	}
-	i := p.n
-	p.n++
-	switch i % 8 {
-	case 0, 3:
-		*in = uarch.Instr{Kind: uarch.Load, Addr: i * 24}
-	case 5:
-		*in = uarch.Instr{Kind: uarch.Store, Addr: i * 40}
-	case 6:
-		*in = uarch.Instr{Kind: uarch.Branch, PC: 0x400000 + i%32*4, Taken: i%3 != 0}
-	default:
-		*in = uarch.Instr{Kind: uarch.ALU}
-	}
-	return true
-}
-
-func (p *strideProg) Reset() { p.n = 0 }
-
-func benchMachineStep(b *testing.B) {
-	m, err := uarch.NewMachine(uarch.DefaultMachineConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := uint64(b.N)
-	b.ResetTimer()
-	if _, err := m.Run(&strideProg{limit: n}, n); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func benchCacheAccess(b *testing.B) {
-	c, err := uarch.NewCache(uarch.CacheConfig{Name: "b", SizeB: 32 << 10, LineB: 64, Ways: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(1)
-	addrs := make([]uint64, 4096)
-	for i := range addrs {
-		addrs[i] = uint64(src.Intn(1 << 22))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(addrs[i&4095])
-	}
-}
-
-func benchTLBTranslate(b *testing.B) {
-	tlb, err := uarch.NewTLB(uarch.DefaultTLBConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(1)
-	addrs := make([]uint64, 4096)
-	for i := range addrs {
-		addrs[i] = uint64(src.Intn(1 << 30))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tlb.Translate(addrs[i&4095])
-	}
 }

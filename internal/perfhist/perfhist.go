@@ -61,8 +61,9 @@ type Record struct {
 	GoVersion   string    `json:"go_version"`
 	GOOS        string    `json:"goos"`
 	GOARCH      string    `json:"goarch"`
-	// Rounds is how many repetitions the suite benchmark kept the best
-	// of (0 on pre-perfhist rows: a single round).
+	// Rounds is how many repetitions each benchmark kept the best of
+	// (0 on pre-perfhist rows: a single round). Rows recorded before
+	// the benchmark registry applied it to SimulateSuite only.
 	Rounds int `json:"rounds,omitempty"`
 	// Note tags the run's origin ("ci", "gate", …); free-form.
 	Note       string      `json:"note,omitempty"`
@@ -391,11 +392,6 @@ type GateOptions struct {
 	// judge at all (default 3): with fewer the verdict is Inconclusive,
 	// never a failure.
 	MinRuns int
-}
-
-// DefaultGateOptions returns the gate defaults.
-func DefaultGateOptions() GateOptions {
-	return GateOptions{LastK: 10, Percentile: 10, Slack: 0.05, MinRuns: 3}
 }
 
 func (o *GateOptions) normalize() {

@@ -151,8 +151,8 @@ func TestPoolConcurrentGetPut(t *testing.T) {
 	wg.Wait()
 }
 
-// strideProg is a minimal deterministic program for machine-level tests
-// and benchmarks: a fixed repeating kind pattern with striding loads and
+// strideProg is a minimal deterministic program for machine-level
+// tests: a fixed repeating kind pattern with striding loads and
 // alternating branches, no RNG in the emission path.
 type strideProg struct {
 	n, limit uint64
@@ -182,21 +182,3 @@ func (p *strideProg) Next(in *Instr) bool {
 }
 
 func (p *strideProg) Reset() { p.n = 0 }
-
-// BenchmarkMachineStep measures the per-instruction cost of the machine's
-// execution loop itself — dispatch, cache/TLB lookups, PMU accounting —
-// with a deterministic generator whose own cost is a few ALU operations.
-// Reported together with BenchmarkCacheAccess and BenchmarkTLBTranslate
-// in BENCH_simulator.json to localize regressions below the suite level.
-func BenchmarkMachineStep(b *testing.B) {
-	cfg := DefaultMachineConfig()
-	m, err := NewMachine(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := uint64(b.N)
-	b.ResetTimer()
-	if _, err := m.Run(newStrideProg(n), n); err != nil {
-		b.Fatal(err)
-	}
-}
